@@ -76,10 +76,10 @@ pub struct Evaluator {
     vc: Arc<ValueCounts>,
     distinct: Dataset,
     dweights: Vec<u64>,
-    eval: MaterializedPatterns,
-    /// Pattern rows *are* the distinct rows (the `P_A` default): the
-    /// refinement universe needs no passive pattern suffix.
-    patterns_shared: bool,
+    /// The materialized pattern set, or `None` for the `P_A` default,
+    /// whose pattern rows and counts *are* `distinct` and `dweights`
+    /// (the refinement universe then needs no passive pattern suffix).
+    eval: Option<MaterializedPatterns>,
     /// Pattern indices sorted by true count, descending.
     order: Vec<u32>,
     /// Row-major `[pattern * n_attrs + attr]` VC fractions; 1.0 for cells a
@@ -98,21 +98,27 @@ impl Evaluator {
     pub fn new(dataset: &Dataset, patterns: &PatternSet) -> Self {
         let vc = Arc::new(ValueCounts::compute(dataset, None));
         let (distinct, dweights) = dataset.compress();
-        let eval = patterns.materialize(dataset);
-        // `PatternSet::AllTuples` materializes as `dataset.compress()`,
-        // which is deterministic: its rows coincide with `distinct`.
-        let patterns_shared = matches!(patterns, PatternSet::AllTuples);
+        // `PatternSet::AllTuples` materializes as `dataset.compress()`:
+        // reuse the table just built instead of compressing again.
+        let eval = match patterns {
+            PatternSet::AllTuples => None,
+            _ => Some(patterns.materialize(dataset)),
+        };
+        let (table, counts) = match &eval {
+            Some(m) => (&m.table, &m.counts[..]),
+            None => (&distinct, &dweights[..]),
+        };
         let n_attrs = dataset.n_attrs();
-        let n = eval.len();
+        let n = counts.len();
 
         let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_by(|&a, &b| eval.counts[b as usize].cmp(&eval.counts[a as usize]));
+        order.sort_by(|&a, &b| counts[b as usize].cmp(&counts[a as usize]));
 
         let mut fracs = vec![1.0f64; n * n_attrs];
         let mut defined = vec![0u64; n];
         for r in 0..n {
             for a in 0..n_attrs {
-                let v = eval.table.value_raw(r, a);
+                let v = table.value_raw(r, a);
                 if v != MISSING {
                     defined[r] |= 1u64 << a;
                     fracs[r * n_attrs + a] = vc.fraction(a, v);
@@ -126,7 +132,6 @@ impl Evaluator {
             distinct,
             dweights,
             eval,
-            patterns_shared,
             order,
             fracs,
             defined,
@@ -158,7 +163,7 @@ impl Evaluator {
 
     /// Number of patterns under evaluation.
     pub fn n_patterns(&self) -> usize {
-        self.eval.len()
+        self.pattern_counts().len()
     }
 
     /// `|D|`.
@@ -179,6 +184,16 @@ impl Evaluator {
     /// The compressed distinct-tuple table and its multiplicities.
     pub fn compressed(&self) -> (&Dataset, &[u64]) {
         (&self.distinct, &self.dweights)
+    }
+
+    /// The materialized patterns as rows of a same-schema table.
+    fn pattern_table(&self) -> &Dataset {
+        self.eval.as_ref().map_or(&self.distinct, |m| &m.table)
+    }
+
+    /// True count of each materialized pattern.
+    fn pattern_counts(&self) -> &[u64] {
+        self.eval.as_ref().map_or(&self.dweights, |m| &m.counts)
     }
 
     /// A lattice-aware evaluation context with default tuning (refinement
@@ -232,10 +247,11 @@ impl Evaluator {
         let mut acc = ErrorAccumulator::new();
         let mut exited = false;
         let sbits = attrs.bits();
+        let counts = self.pattern_counts();
 
         for &r32 in &self.order {
             let r = r32 as usize;
-            let actual = self.eval.counts[r];
+            let actual = counts[r];
             if early_exit && (actual as f64) < acc.max_abs() {
                 exited = true;
                 break;
@@ -263,12 +279,13 @@ impl Evaluator {
             self.n_rows
         } else if k_bits == sbits {
             // p defines all of S: exact group lookup.
-            gc.weight_of_row(&self.eval.table, r)
+            gc.weight_of_row(self.pattern_table(), r)
         } else {
             // p defines only part of S: marginal over the stored partition.
             let k = AttrSet::from_bits(k_bits);
             let marginal = marginals.entry(k).or_insert_with(|| build_marginal(gc, k));
-            let key: Box<[u32]> = k.iter().map(|a| self.eval.table.value_raw(r, a)).collect();
+            let table = self.pattern_table();
+            let key: Box<[u32]> = k.iter().map(|a| table.value_raw(r, a)).collect();
             marginal.get(&key).copied().unwrap_or(0)
         };
         self.apply_fracs(r, sbits, defined, base)
@@ -298,17 +315,13 @@ impl Evaluator {
     /// pattern rows as a passive suffix when they are not the distinct
     /// rows themselves.
     fn universe_len(&self) -> usize {
-        if self.patterns_shared {
-            self.distinct.n_rows()
-        } else {
-            self.distinct.n_rows() + self.eval.len()
-        }
+        self.distinct.n_rows() + self.eval.as_ref().map_or(0, |m| m.len())
     }
 
     /// Universe row of pattern `r`.
     #[inline]
     fn pattern_row(&self, r: usize) -> usize {
-        if self.patterns_shared {
+        if self.eval.is_none() {
             r
         } else {
             self.distinct.n_rows() + r
@@ -322,7 +335,7 @@ impl Evaluator {
         if row < n_data {
             self.distinct.value_raw(row, attr)
         } else {
-            self.eval.table.value_raw(row - n_data, attr)
+            self.pattern_table().value_raw(row - n_data, attr)
         }
     }
 
@@ -331,24 +344,41 @@ impl Evaluator {
         Partition::unit(self.universe_len(), self.n_rows)
     }
 
-    /// Refines `part` by one attribute's column(s).
-    fn refine_partition(&self, part: &Partition, attr: usize) -> Partition {
-        let card = self
-            .distinct
+    /// Dictionary cardinality of `attr`.
+    fn card(&self, attr: usize) -> u32 {
+        self.distinct
             .schema()
             .attr(attr)
-            .map_or(0, |at| at.cardinality()) as u32;
-        let pattern_col: &[u32] = if self.patterns_shared {
-            &[]
-        } else {
-            self.eval.table.column(attr)
-        };
+            .map_or(0, |at| at.cardinality()) as u32
+    }
+
+    /// Refines `part` by one attribute's column(s).
+    fn refine_partition(&self, part: &Partition, attr: usize) -> Partition {
+        let pattern_col: &[u32] = self.eval.as_ref().map_or(&[], |m| m.table.column(attr));
         part.refine(
             self.distinct.column(attr),
             pattern_col,
-            card,
+            self.card(attr),
             &self.dweights,
         )
+    }
+
+    /// The sizing partition of the empty subset: the distinct rows alone,
+    /// in one all-missing group.
+    pub(crate) fn sizing_root(&self) -> Partition {
+        Partition::unit(self.distinct.n_rows(), self.n_rows)
+    }
+
+    /// Sizes `S ∪ {attr}` from the sizing partition of `S`: the child's
+    /// partition when its label size is within `bound`, else `None`
+    /// (see [`Partition::refine_bounded`]).
+    pub(crate) fn size_child(
+        &self,
+        part: &Partition,
+        attr: usize,
+        bound: u64,
+    ) -> Option<Partition> {
+        part.refine_bounded(self.distinct.column(attr), self.card(attr), bound)
     }
 
     /// Evaluates many candidate subsets, returning `opts.metric` for
@@ -438,11 +468,12 @@ impl<'a> EvalContext<'a> {
         let ev = self.ev;
         let part = self.partition(attrs);
         let sbits = attrs.bits();
+        let counts = ev.pattern_counts();
         let mut acc = ErrorAccumulator::new();
         let mut exited = false;
         for &r32 in &ev.order {
             let r = r32 as usize;
-            let actual = ev.eval.counts[r];
+            let actual = counts[r];
             if early_exit && (actual as f64) < acc.max_abs() {
                 exited = true;
                 break;

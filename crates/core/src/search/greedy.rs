@@ -26,8 +26,8 @@ use pclabel_data::dataset::Dataset;
 use pclabel_data::error::Result;
 
 use crate::attrset::AttrSet;
-use crate::counting::label_size_bounded;
 use crate::label::Label;
+use crate::search::refine::Partition;
 use crate::search::{check_dataset, Evaluator, SearchOptions, SearchOutcome, SearchStats};
 
 /// Runs greedy forward selection under `opts.bound`.
@@ -43,9 +43,6 @@ pub fn greedy_search(dataset: &Dataset, opts: &SearchOptions) -> Result<SearchOu
     let evaluator = Evaluator::new(dataset, &opts.patterns)
         .with_count_threads(opts.count_threads)
         .with_count_shards(opts.count_shards);
-    let (distinct, dweights) = evaluator.compressed();
-    let distinct = distinct.clone();
-    let dweights: Vec<u64> = dweights.to_vec();
     let early = opts.early_exit && opts.metric.supports_early_exit();
 
     // One lattice-aware context for the whole walk: each candidate
@@ -54,35 +51,39 @@ pub fn greedy_search(dataset: &Dataset, opts: &SearchOptions) -> Result<SearchOu
     let mut ctx = evaluator.context_for(opts);
     let mut stats = SearchStats::default();
     let mut current = AttrSet::EMPTY;
+    // Each step S ∪ {a} is sized by one bounded refinement pass over the
+    // sizing partition of the current prefix S.
+    let mut current_part = evaluator.sizing_root();
     let mut visited: Vec<(AttrSet, f64)> =
         vec![(current, opts.metric.of(&ctx.error_of(current, early)))];
 
     loop {
-        let mut best_step: Option<(AttrSet, f64)> = None;
+        let mut best_step: Option<(AttrSet, f64, Partition)> = None;
         for a in 0..n {
             if current.contains(a) {
                 continue;
             }
             let candidate = current.insert(a);
             stats.nodes_examined += 1;
-            if label_size_bounded(&distinct, candidate, opts.bound).is_none() {
+            let Some(part) = evaluator.size_child(&current_part, a, opts.bound) else {
                 continue;
-            }
+            };
             let eval_start = Instant::now();
             let err = opts.metric.of(&ctx.error_of(candidate, early));
             stats.eval_time += eval_start.elapsed();
             stats.candidates_evaluated += 1;
-            let better = match best_step {
+            let better = match &best_step {
                 None => true,
-                Some((bs, be)) => err < be || (err == be && candidate.bits() < bs.bits()),
+                Some((bs, be, _)) => err < *be || (err == *be && candidate.bits() < bs.bits()),
             };
             if better {
-                best_step = Some((candidate, err));
+                best_step = Some((candidate, err, part));
             }
         }
         match best_step {
-            Some((next, err)) => {
+            Some((next, err, part)) => {
                 current = next;
+                current_part = part;
                 visited.push((next, err));
             }
             None => break,
@@ -102,9 +103,10 @@ pub fn greedy_search(dataset: &Dataset, opts: &SearchOptions) -> Result<SearchOu
     let path: Vec<AttrSet> = visited.iter().skip(1).map(|&(s, _)| s).collect();
 
     let best_stats = Some(ctx.error_of(best_attrs, false));
+    let (distinct, dweights) = evaluator.compressed();
     let label = Some(Label::from_parts(
-        &distinct,
-        Some(&dweights),
+        distinct,
+        Some(dweights),
         best_attrs,
         evaluator.value_counts(),
         evaluator.n_rows(),

@@ -7,10 +7,11 @@
 //!   level by level (size 2 upward), keep the best label within the size
 //!   bound, stop at the first level where every label exceeds the bound
 //!   (label size is monotone in `S`, so no larger level can fit);
-//! * [`top_down_search`] — Algorithm 1: a BFS over the label lattice using
-//!   the duplicate-free `gen` operator, collecting a candidate set of
-//!   maximal within-budget subsets, then returning the candidate with
-//!   minimal error.
+//! * [`top_down_search`] — Algorithm 1: a walk over the label lattice using
+//!   the duplicate-free `gen` operator (depth-first here, each node sized
+//!   by a bounded refinement of its parent's partition), collecting the
+//!   maximal within-budget subsets as candidates, then returning the
+//!   candidate with minimal error.
 //!
 //! An additional [`greedy_search`] (forward selection) is provided as an
 //! extension — the "more complex approaches" the paper defers.
@@ -64,17 +65,14 @@ pub struct SearchOptions {
     /// ([`EvalContext`]): neighboring candidates are priced by partition
     /// refinement / marginal coarsening instead of a cold hash group-by
     /// each (default `true`; errors are bit-identical either way —
-    /// `false` is the ablation/oracle configuration).
+    /// `false` is the ablation/oracle configuration). Lattice nodes are
+    /// sized by bounded refinement either way.
     pub refine: bool,
     /// Bound on memoized partitions per evaluation context
     /// (LRU-evicted; default [`DEFAULT_REFINE_MEMO`]). Resident memory
     /// is at most `refine_memo × (4·U + 12·G)` bytes for a `U`-row
     /// distinct/pattern universe with `G`-group partitions.
     pub refine_memo: usize,
-    /// Ablation: when removing dominated candidates, drop *all* stored
-    /// subsets of a new candidate instead of only its direct lattice
-    /// parents (the paper removes direct parents).
-    pub deep_prune: bool,
 }
 
 impl SearchOptions {
@@ -90,7 +88,6 @@ impl SearchOptions {
             count_shards: 0,
             refine: true,
             refine_memo: DEFAULT_REFINE_MEMO,
-            deep_prune: false,
         }
     }
 
@@ -141,12 +138,6 @@ impl SearchOptions {
     /// Bounds the number of partitions an evaluation context memoizes.
     pub fn refine_memo(mut self, cap: usize) -> Self {
         self.refine_memo = cap.max(2);
-        self
-    }
-
-    /// Enables the deep-prune ablation.
-    pub fn deep_prune(mut self, on: bool) -> Self {
-        self.deep_prune = on;
         self
     }
 }

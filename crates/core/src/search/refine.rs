@@ -28,6 +28,12 @@
 //! distinct rows' multiplicities, so every count derived from a partition
 //! is bit-identical to the hash group-by's — the property the evaluator's
 //! proptests pin.
+//!
+//! A partition also knows its all-missing group, so over the data rows
+//! alone its group count is the label size `|P_S|`. The searches size
+//! lattice nodes with [`Partition::refine_bounded`]: a child is one pass
+//! over its parent's partition that stops as soon as the count passes
+//! the bound, instead of a cold hash scan per node.
 
 use pclabel_data::dataset::MISSING;
 
@@ -48,6 +54,35 @@ pub struct Partition {
     weights: Vec<u64>,
     /// One representative universe row per group (first encountered).
     reps: Vec<u32>,
+    /// The group whose projection is all-missing (the empty pattern), if
+    /// any row has one; it is not counted in `|P_S|`.
+    missing: Option<u32>,
+}
+
+/// Where a refinement pass records the new group id of each
+/// `(old group, code)` pair; `0` marks a pair not seen yet, `g + 1` group
+/// `g` (so the dense table can start zeroed).
+trait Remap {
+    fn slot(&mut self, old: u32, code: u32) -> &mut u32;
+}
+
+struct DenseRemap {
+    slots: Vec<u32>,
+    stride: usize,
+}
+
+impl Remap for DenseRemap {
+    #[inline]
+    fn slot(&mut self, old: u32, code: u32) -> &mut u32 {
+        &mut self.slots[old as usize * self.stride + code as usize]
+    }
+}
+
+impl Remap for FxHashMap<u64, u32> {
+    #[inline]
+    fn slot(&mut self, old: u32, code: u32) -> &mut u32 {
+        self.entry(((old as u64) << 32) | code as u64).or_insert(0)
+    }
 }
 
 impl Partition {
@@ -58,6 +93,7 @@ impl Partition {
             ids: vec![0; n_universe],
             weights: vec![total_weight],
             reps: vec![0],
+            missing: Some(0),
         }
     }
 
@@ -69,6 +105,12 @@ impl Partition {
     /// Number of groups.
     pub fn n_groups(&self) -> usize {
         self.weights.len()
+    }
+
+    /// `|P_S|`: the groups whose projection is not all-missing — the
+    /// paper's `labelSize(S, D)` when the universe is the data rows.
+    pub fn pattern_count_size(&self) -> u64 {
+        (self.n_groups() - usize::from(self.missing.is_some())) as u64
     }
 
     /// Group id of universe row `row`.
@@ -100,105 +142,103 @@ impl Partition {
         card: u32,
         dweights: &[u64],
     ) -> Partition {
+        debug_assert_eq!(dweights.len(), data_col.len());
+        self.refine_within(data_col, pattern_col, card, dweights, u64::MAX)
+            .expect("an unbounded refinement always completes")
+    }
+
+    /// Bounded refinement over a data-only universe, for sizing: the same
+    /// pass as [`Partition::refine`], but it gives up and returns `None`
+    /// as soon as the result has more than `bound` groups that are not
+    /// all-missing. So `Some(p)` carries `p.pattern_count_size() ≤ bound`,
+    /// and the answer equals
+    /// [`label_size_bounded`](crate::counting::label_size_bounded)'s for
+    /// the refined attribute set (rows are visited in the same order).
+    /// Sizing only counts groups, so the result carries no weights
+    /// (every group weighs 0) and the pass skips the weight loop.
+    pub fn refine_bounded(&self, col: &[u32], card: u32, bound: u64) -> Option<Partition> {
+        self.refine_within(col, &[], card, &[], bound)
+    }
+
+    fn refine_within(
+        &self,
+        data_col: &[u32],
+        pattern_col: &[u32],
+        card: u32,
+        dweights: &[u64],
+        bound: u64,
+    ) -> Option<Partition> {
         let n = self.ids.len();
         debug_assert_eq!(data_col.len() + pattern_col.len(), n);
-        debug_assert_eq!(dweights.len(), data_col.len());
         let stride = card as usize + 1; // codes 0..card, missing = card
         let dense_slots = self.n_groups().saturating_mul(stride);
+        let groups_hint = self.n_groups().min(bound as usize) + 1;
         let mut out = Partition {
             ids: Vec::with_capacity(n),
-            weights: Vec::with_capacity(self.n_groups() + 1),
-            reps: Vec::with_capacity(self.n_groups() + 1),
+            weights: Vec::with_capacity(groups_hint),
+            reps: Vec::with_capacity(groups_hint),
+            missing: None,
         };
-        if dense_slots <= (4 * n).max(DENSE_REMAP_FLOOR) {
-            let mut remap = vec![u32::MAX; dense_slots];
-            self.refine_dense(
-                &mut out,
-                &mut remap,
+        let n_data = data_col.len();
+        let complete = if dense_slots <= (4 * n).max(DENSE_REMAP_FLOOR) {
+            let mut remap = DenseRemap {
+                slots: vec![0; dense_slots],
                 stride,
-                data_col,
-                pattern_col,
-                dweights,
-            );
+            };
+            self.pass(&mut out, &mut remap, card, 0, data_col, bound)
+                && self.pass(&mut out, &mut remap, card, n_data, pattern_col, bound)
         } else {
-            let mut remap: FxHashMap<u64, u32> = fx_map_with_capacity(self.n_groups() * 2);
-            self.refine_hash(&mut out, &mut remap, card, data_col, pattern_col, dweights);
+            let mut remap: FxHashMap<u64, u32> = fx_map_with_capacity(groups_hint * 2);
+            self.pass(&mut out, &mut remap, card, 0, data_col, bound)
+                && self.pass(&mut out, &mut remap, card, n_data, pattern_col, bound)
+        };
+        if !complete {
+            return None;
         }
-        out
+        for (&g, &w) in out.ids.iter().zip(dweights) {
+            out.weights[g as usize] += w;
+        }
+        Some(out)
     }
 
-    fn refine_dense(
+    /// Composes `(old group id, code)` into new ids for universe rows
+    /// `start..start + col.len()`, appending them to `out` (whose group
+    /// weights stay 0). Returns `false` once more than `bound` non-missing
+    /// groups exist.
+    fn pass(
         &self,
         out: &mut Partition,
-        remap: &mut [u32],
-        stride: usize,
-        data_col: &[u32],
-        pattern_col: &[u32],
-        dweights: &[u64],
-    ) {
-        let card = (stride - 1) as u32;
-        for (r, (&v, &w)) in data_col.iter().zip(dweights).enumerate() {
+        remap: &mut impl Remap,
+        card: u32,
+        start: usize,
+        col: &[u32],
+        bound: u64,
+    ) -> bool {
+        let Partition {
+            ids,
+            weights,
+            reps,
+            missing,
+        } = out;
+        let old_ids = &self.ids[start..start + col.len()];
+        for (i, (&v, &old)) in col.iter().zip(old_ids).enumerate() {
             let code = if v == MISSING { card } else { v };
             debug_assert!(code <= card, "value id exceeds declared cardinality");
-            let slot = self.ids[r] as usize * stride + code as usize;
-            let mut g = remap[slot];
-            if g == u32::MAX {
-                g = out.weights.len() as u32;
-                remap[slot] = g;
-                out.weights.push(0);
-                out.reps.push(r as u32);
+            let slot = remap.slot(old, code);
+            if *slot == 0 {
+                let g = weights.len() as u32;
+                *slot = g + 1;
+                weights.push(0);
+                reps.push((start + i) as u32);
+                if code == card && self.missing == Some(old) {
+                    *missing = Some(g);
+                } else if weights.len() - usize::from(missing.is_some()) > bound as usize {
+                    return false;
+                }
             }
-            out.weights[g as usize] += w;
-            out.ids.push(g);
+            ids.push(*slot - 1);
         }
-        let n_data = data_col.len();
-        for (p, &v) in pattern_col.iter().enumerate() {
-            let code = if v == MISSING { card } else { v };
-            let slot = self.ids[n_data + p] as usize * stride + code as usize;
-            let mut g = remap[slot];
-            if g == u32::MAX {
-                g = out.weights.len() as u32;
-                remap[slot] = g;
-                out.weights.push(0);
-                out.reps.push((n_data + p) as u32);
-            }
-            out.ids.push(g);
-        }
-    }
-
-    fn refine_hash(
-        &self,
-        out: &mut Partition,
-        remap: &mut FxHashMap<u64, u32>,
-        card: u32,
-        data_col: &[u32],
-        pattern_col: &[u32],
-        dweights: &[u64],
-    ) {
-        for (r, (&v, &w)) in data_col.iter().zip(dweights).enumerate() {
-            let code = if v == MISSING { card } else { v };
-            let key = ((self.ids[r] as u64) << 32) | code as u64;
-            let next = out.weights.len() as u32;
-            let g = *remap.entry(key).or_insert(next);
-            if g == next {
-                out.weights.push(0);
-                out.reps.push(r as u32);
-            }
-            out.weights[g as usize] += w;
-            out.ids.push(g);
-        }
-        let n_data = data_col.len();
-        for (p, &v) in pattern_col.iter().enumerate() {
-            let code = if v == MISSING { card } else { v };
-            let key = ((self.ids[n_data + p] as u64) << 32) | code as u64;
-            let next = out.weights.len() as u32;
-            let g = *remap.entry(key).or_insert(next);
-            if g == next {
-                out.weights.push(0);
-                out.reps.push((n_data + p) as u32);
-            }
-            out.ids.push(g);
-        }
+        true
     }
 
     /// Coarsens to the sub-subset `keep` (which must be contained in the
@@ -230,7 +270,14 @@ impl Partition {
             debug_assert_eq!(g + 1, coarse.len());
         }
         let ids = self.ids.iter().map(|&g| coarse[g as usize]).collect();
-        Partition { ids, weights, reps }
+        let all_missing: Box<[u32]> = vec![MISSING; keep.len()].into();
+        let missing = key_to_group.get(&all_missing).copied();
+        Partition {
+            ids,
+            weights,
+            reps,
+            missing,
+        }
     }
 }
 
@@ -265,6 +312,7 @@ mod tests {
         ] {
             let part = partition_over(&d, attrs, &w);
             let gc = GroupCounts::build(&d, None, attrs);
+            assert_eq!(part.pattern_count_size(), gc.pattern_count_size());
             for r in 0..d.n_rows() {
                 assert_eq!(
                     part.weight_of_row(r),
@@ -279,6 +327,7 @@ mod tests {
     fn unit_partition_carries_total_weight() {
         let part = Partition::unit(5, 42);
         assert_eq!(part.n_groups(), 1);
+        assert_eq!(part.pattern_count_size(), 0);
         assert_eq!(part.n_rows(), 5);
         for r in 0..5 {
             assert_eq!(part.weight_of_row(r), 42);
@@ -300,6 +349,14 @@ mod tests {
         assert_ne!(part.group_of(0), part.group_of(1));
         assert_eq!(part.weight_of_row(0), 2);
         assert_eq!(part.weight_of_row(1), 1);
+        // The all-missing group is not a pattern: |P_S| = 1.
+        assert_eq!(part.pattern_count_size(), 1);
+        let unit = Partition::unit(3, 3);
+        assert_eq!(
+            unit.refine_bounded(d.column(0), 1, 1).unwrap().n_groups(),
+            2
+        );
+        assert!(unit.refine_bounded(d.column(0), 1, 0).is_none());
     }
 
     #[test]
@@ -327,6 +384,7 @@ mod tests {
             assert_eq!(coarse.weight_of_row(r), fresh.weight_of_row(r), "row {r}");
         }
         assert_eq!(coarse.n_groups(), fresh.n_groups());
+        assert_eq!(coarse.pattern_count_size(), fresh.pattern_count_size());
     }
 
     #[test]

@@ -1,28 +1,43 @@
 //! Algorithm 1: top-down lattice search for the optimal label.
 //!
-//! The queue-driven BFS visits each lattice node at most once
-//! (Proposition 3.8, by the `gen` operator's index ordering). A node is
-//! enqueued only when its label fits the bound, so the traversal explores
-//! exactly the within-budget antichain frontier plus, in the worst case,
-//! its immediate children — a tiny fraction of the `2^n` lattice
-//! (54–99 % fewer nodes than the naive algorithm in the paper's Figure 9).
+//! The walk visits each lattice node at most once (Proposition 3.8, by
+//! the `gen` operator's index ordering) and examines a node's `gen`
+//! children only when its own label fits the bound. So it explores exactly
+//! the within-budget subsets plus, in the worst case, their immediate
+//! children — a tiny fraction of the `2^n` lattice (54–99 % fewer nodes
+//! than the naive algorithm in the paper's Figure 9).
 //!
-//! Label sizes are computed with a bound-aware distinct scan
-//! ([`label_size_bounded`]) that abandons an over-budget child as soon as
-//! its running distinct count crosses the bound — with the paper's small
-//! bounds this prices most children in a few hundred rows.
+//! **Depth-first, sized by bounded refinement.** The paper drains the
+//! `gen` tree breadth-first with a queue and prices every node with a cold
+//! `labelSize(S, D)` scan. Here the same tree is walked depth-first, and a
+//! child `S ∪ {a}` is sized by one
+//! [`refine_bounded`](crate::search::refine::Partition::refine_bounded)
+//! pass over its parent's partition of the distinct rows: one column read
+//! and one array probe per row, stopping as soon as the group count passes
+//! the bound. The answers equal the cold scan's
+//! ([`label_size_bounded`](crate::counting::label_size_bounded)), and so
+//! does `nodes_examined`, since the set of examined nodes does not depend
+//! on the visiting order. Only the partitions on the root-to-node chain
+//! are live, at most `n_attrs + 1` of them, each `4·U + 12·G` bytes for
+//! `U` distinct rows and `G ≤ bound + 1` groups; one partition per queued
+//! node of a breadth-first walk would hold a whole lattice level.
+//!
+//! **Candidates.** The paper collects candidates as it goes and drops the
+//! direct parents of each new one (`removeParents`). Label size is
+//! monotone in `S`, so that leaves exactly the fitting subsets with no
+//! fitting direct superset; the walk records which subsets fit and takes
+//! those maximal ones at the end.
 
-use std::collections::VecDeque;
 use std::time::Instant;
 
 use pclabel_data::dataset::Dataset;
 use pclabel_data::error::Result;
 
 use crate::attrset::AttrSet;
-use crate::counting::label_size_bounded;
 use crate::hash::FxHashSet;
 use crate::label::Label;
-use crate::lattice::gen;
+use crate::lattice::{children, gen};
+use crate::search::refine::Partition;
 use crate::search::{
     argmin_candidate, check_dataset, Evaluator, SearchOptions, SearchOutcome, SearchStats,
 };
@@ -38,45 +53,36 @@ pub fn top_down_search(dataset: &Dataset, opts: &SearchOptions) -> Result<Search
     let n = dataset.n_attrs();
     let search_start = Instant::now();
 
-    // Evaluator also holds the compressed distinct-tuple table used for
-    // label sizing: group counts over distinct tuples equal those over raw
-    // rows, but each refine pass touches fewer rows.
+    // The evaluator also holds the compressed distinct-tuple table the
+    // sizing partitions are built over: group counts over distinct tuples
+    // equal those over raw rows, but each pass touches fewer rows.
     let evaluator = Evaluator::new(dataset, &opts.patterns)
         .with_count_threads(opts.count_threads)
         .with_count_shards(opts.count_shards);
-    let (distinct, dweights) = evaluator.compressed();
-    let distinct = distinct.clone();
-    let dweights: Vec<u64> = dweights.to_vec();
 
     let mut stats = SearchStats::default();
-    let mut queue: VecDeque<AttrSet> = VecDeque::from([AttrSet::EMPTY]);
-    let mut cands: FxHashSet<AttrSet> = FxHashSet::default();
-
-    while let Some(curr) = queue.pop_front() {
-        for child in gen(curr, n) {
-            stats.nodes_examined += 1;
-            // Bound-aware sizing aborts over-budget children after a few
-            // hundred rows (see `label_size_bounded`).
-            let size = label_size_bounded(&distinct, child, opts.bound);
-            if let Some(_size) = size {
-                queue.push_back(child);
-                // Singletons are enqueued (they seed the pair level and
-                // their sizes count as examined, matching the paper's
-                // Figure 9 node counts) but are not candidates: a
-                // one-attribute PC duplicates information already in VC,
-                // and Example 3.7's candidate set contains only pairs.
-                if child.len() >= 2 {
-                    remove_parents(&mut cands, child, opts.deep_prune);
-                    cands.insert(child);
-                }
-            }
-        }
-    }
+    let mut fits: FxHashSet<AttrSet> = FxHashSet::default();
+    descend(
+        &evaluator,
+        opts.bound,
+        AttrSet::EMPTY,
+        &evaluator.sizing_root(),
+        &mut fits,
+        &mut stats.nodes_examined,
+    );
+    // Singletons fit and seed the pairs (their sizes count as examined,
+    // matching the paper's Figure 9 node counts) but are not candidates:
+    // a one-attribute PC duplicates information already in VC, and
+    // Example 3.7's candidate set contains only pairs.
+    let mut cand_list: Vec<AttrSet> = fits
+        .iter()
+        .copied()
+        .filter(|&s| s.len() >= 2 && children(s, n).all(|c| !fits.contains(&c)))
+        .collect();
     stats.search_time = search_start.elapsed();
 
     // Final arg-min over the candidate set (the paper's line 10).
     let eval_start = Instant::now();
-    let mut cand_list: Vec<AttrSet> = cands.into_iter().collect();
     cand_list.sort_by_key(|s| (s.len(), s.bits()));
     stats.candidates_evaluated = cand_list.len() as u64;
     // Candidates are sorted by (size, bits), so consecutive subsets share
@@ -88,9 +94,10 @@ pub fn top_down_search(dataset: &Dataset, opts: &SearchOptions) -> Result<Search
 
     let best_attrs = best.map(|(s, _)| s).unwrap_or(AttrSet::EMPTY);
     let best_stats = Some(evaluator.context_for(opts).error_of(best_attrs, false));
+    let (distinct, dweights) = evaluator.compressed();
     let label = Some(Label::from_parts(
-        &distinct,
-        Some(&dweights),
+        distinct,
+        Some(dweights),
         best_attrs,
         evaluator.value_counts(),
         evaluator.n_rows(),
@@ -104,15 +111,22 @@ pub fn top_down_search(dataset: &Dataset, opts: &SearchOptions) -> Result<Search
     })
 }
 
-/// The paper's `removeParents(cands, c)`: drop the direct parents of `c`
-/// (they are dominated per Proposition 3.2's intuition). The deep-prune
-/// ablation removes *every* stored subset of `c`.
-fn remove_parents(cands: &mut FxHashSet<AttrSet>, c: AttrSet, deep: bool) {
-    if deep {
-        cands.retain(|s| !s.is_strict_subset_of(c));
-    } else {
-        for parent in c.parents() {
-            cands.remove(&parent);
+/// Examines the `gen` children of `node` (whose sizing partition is
+/// `part`), recording those that fit in `fits` and descending into them.
+fn descend(
+    ev: &Evaluator,
+    bound: u64,
+    node: AttrSet,
+    part: &Partition,
+    fits: &mut FxHashSet<AttrSet>,
+    nodes_examined: &mut u64,
+) {
+    for child in gen(node, ev.n_attrs()) {
+        *nodes_examined += 1;
+        let attr = child.max_index().expect("a gen child is non-empty");
+        if let Some(child_part) = ev.size_child(part, attr, bound) {
+            fits.insert(child);
+            descend(ev, bound, child, &child_part, fits, nodes_examined);
         }
     }
 }
@@ -122,7 +136,9 @@ mod tests {
     use super::*;
     use crate::error::ErrorMetric;
     use crate::patterns::PatternSet;
-    use pclabel_data::generate::{correlated_pair, figure2_sample, functional_chain};
+    use pclabel_data::generate::{
+        correlated_pair, figure2_sample, functional_chain, zipf_correlated,
+    };
 
     #[test]
     fn example_3_7_returns_age_marital() {
@@ -167,18 +183,32 @@ mod tests {
     }
 
     #[test]
-    fn candidates_are_maximal_within_bound() {
-        // No candidate may be a strict subset of another candidate whose
-        // label also fits — removeParents guarantees the direct-parent
-        // case; with deep_prune the full antichain property holds.
-        let d = correlated_pair(4, 800, 0.5, 9).unwrap();
-        let opts = SearchOptions::with_bound(10).deep_prune(true);
-        let out = top_down_search(&d, &opts).unwrap();
-        for (i, &a) in out.candidates.iter().enumerate() {
-            for (j, &b) in out.candidates.iter().enumerate() {
-                if i != j {
-                    assert!(!a.is_strict_subset_of(b), "{a} ⊂ {b}");
-                }
+    fn candidates_are_exactly_the_maximal_fitting_subsets() {
+        // Brute force over all 2^n subsets with the cold sizing scan: a
+        // candidate is a fitting subset of ≥ 2 attributes none of whose
+        // direct supersets fits (so the candidates form an antichain).
+        use crate::counting::label_size_bounded;
+        let cases = [
+            (
+                zipf_correlated(5, 4, 1.1, 0.5, 800, 9).unwrap(),
+                [3u64, 10, 40, 150],
+            ),
+            (
+                zipf_correlated(6, 5, 1.2, 0.4, 2500, 13).unwrap(),
+                [25, 60, 120, 400],
+            ),
+        ];
+        for (d, bounds) in &cases {
+            let n = d.n_attrs();
+            for &bound in bounds {
+                let out = top_down_search(d, &SearchOptions::with_bound(bound)).unwrap();
+                let fits = |s: AttrSet| label_size_bounded(d, s, bound).is_some();
+                let mut maximal: Vec<AttrSet> = (0..1u64 << n)
+                    .map(AttrSet::from_bits)
+                    .filter(|&s| s.len() >= 2 && fits(s) && !children(s, n).any(fits))
+                    .collect();
+                maximal.sort_by_key(|s| (s.len(), s.bits()));
+                assert_eq!(out.candidates, maximal, "{n} attrs, bound {bound}");
             }
         }
     }

@@ -5,11 +5,12 @@
 use proptest::prelude::*;
 
 use pclabel_core::attrset::AttrSet;
-use pclabel_core::counting::{label_size, label_size_bounded, GroupCounts, GroupIndex};
+use pclabel_core::counting::{label_size, label_size_bounded, GroupCounts};
 use pclabel_core::label::Label;
 use pclabel_core::lattice::{binomial, gen, Combinations};
 use pclabel_core::pattern::Pattern;
-use pclabel_data::dataset::{Dataset, DatasetBuilder};
+use pclabel_core::search::refine::Partition;
+use pclabel_data::dataset::{Dataset, DatasetBuilder, MISSING};
 
 fn arb_attrset(n: usize) -> impl Strategy<Value = AttrSet> {
     (0u64..(1u64 << n)).prop_map(AttrSet::from_bits)
@@ -45,6 +46,82 @@ fn arb_dataset_missing() -> impl Strategy<Value = Dataset> {
             b.finish()
         })
     })
+}
+
+/// Random rows over 8 attributes of cardinality 255 — 64 packed key bits
+/// for the full set — plus, when `wide`, a binary ninth attribute (65
+/// bits: the cold scan's wide-key path). Values come from a few ids per
+/// attribute so projections repeat, and about one cell in five is missing.
+fn arb_key_width_dataset() -> impl Strategy<Value = Dataset> {
+    (0u8..2, 1usize..=40).prop_flat_map(|(wide, n_rows)| {
+        let n_attrs = 8 + wide as usize;
+        proptest::collection::vec(
+            proptest::collection::vec(proptest::option::weighted(0.8, 0u32..4), n_attrs),
+            n_rows,
+        )
+        .prop_map(move |rows| {
+            let names: Vec<String> = (0..n_attrs).map(|i| format!("a{i}")).collect();
+            let domains: Vec<Vec<String>> = (0..n_attrs)
+                .map(|a| {
+                    let card = if a < 8 { 255 } else { 2 };
+                    (0..card).map(|v| format!("v{v}")).collect()
+                })
+                .collect();
+            let mut b = DatasetBuilder::with_domains(
+                names
+                    .iter()
+                    .zip(&domains)
+                    .map(|(n, d)| (n.as_str(), d.iter().map(|s| s.as_str()))),
+            );
+            for row in rows {
+                let ids: Vec<u32> = row
+                    .iter()
+                    .enumerate()
+                    .map(|(a, c)| match c {
+                        None => MISSING,
+                        Some(v) if a < 8 => v * 84,
+                        Some(v) => v % 2,
+                    })
+                    .collect();
+                b.push_ids(&ids).unwrap();
+            }
+            b.finish()
+        })
+    })
+}
+
+/// `|P_S|` by a chain of bounded refinements from the unit partition, or
+/// `None` once a prefix of the chain (hence `S`) exceeds `bound`.
+fn size_by_refinement(d: &Dataset, attrs: AttrSet, bound: u64) -> Option<u64> {
+    let mut part = Partition::unit(d.n_rows(), d.n_rows() as u64);
+    for a in attrs.iter() {
+        let card = d.schema().attr(a).unwrap().cardinality() as u32;
+        part = part.refine_bounded(d.column(a), card, bound)?;
+    }
+    Some(part.pattern_count_size())
+}
+
+/// The cold bounded scan and bounded refinement both answer `Some(exact)`
+/// just above and at the exact label size, and `None` just below it.
+fn check_bounded_sizing(d: &Dataset, bits: u64) {
+    let attrs = AttrSet::from_bits(bits & ((1u64 << d.n_attrs()) - 1));
+    let exact = label_size(d, attrs);
+    let mut cases = vec![(exact + 3, Some(exact)), (exact, Some(exact))];
+    if exact > 0 {
+        cases.push((exact - 1, None));
+    }
+    for (bound, want) in cases {
+        assert_eq!(
+            label_size_bounded(d, attrs, bound),
+            want,
+            "cold, bound {bound}"
+        );
+        assert_eq!(
+            size_by_refinement(d, attrs, bound),
+            want,
+            "refined, bound {bound}"
+        );
+    }
 }
 
 proptest! {
@@ -95,17 +172,16 @@ proptest! {
         prop_assert!(combos.iter().all(|s| s.len() == k));
     }
 
-    /// Bounded sizing agrees with exact sizing.
+    /// Bounded sizing (cold scan and refinement) agrees with exact sizing.
     #[test]
     fn bounded_size_agrees(d in arb_dataset_missing(), bits in any::<u64>()) {
-        let attrs = AttrSet::from_bits(bits & ((1u64 << d.n_attrs()) - 1));
-        let exact = label_size(&d, attrs);
-        // Bound above the true size → Some(exact); below → None.
-        prop_assert_eq!(label_size_bounded(&d, attrs, exact + 3), Some(exact));
-        prop_assert_eq!(label_size_bounded(&d, attrs, exact), Some(exact));
-        if exact > 0 {
-            prop_assert_eq!(label_size_bounded(&d, attrs, exact - 1), None);
-        }
+        check_bounded_sizing(&d, bits);
+    }
+
+    /// The same on both sides of the 64-bit packed key width.
+    #[test]
+    fn bounded_size_agrees_across_key_widths(d in arb_key_width_dataset(), bits in any::<u64>()) {
+        check_bounded_sizing(&d, bits);
     }
 
     /// Parallel chunked counting is bit-identical to the serial build:
@@ -248,14 +324,13 @@ proptest! {
         }
     }
 
-    /// GroupIndex refinement and GroupCounts agree on |P_S| even with
+    /// Partition refinement and GroupCounts agree on |P_S| even with
     /// missing values.
     #[test]
     fn partition_vs_hash_sizes(d in arb_dataset_missing(), bits in any::<u64>()) {
         let attrs = AttrSet::from_bits(bits & ((1u64 << d.n_attrs()) - 1));
         let via_hash = GroupCounts::build(&d, None, attrs).pattern_count_size();
-        let via_refine = GroupIndex::over(&d, attrs).pattern_count_size();
-        prop_assert_eq!(via_hash, via_refine);
+        prop_assert_eq!(Some(via_hash), size_by_refinement(&d, attrs, u64::MAX));
     }
 
     /// Pattern counts from the label equal brute-force scans, for every

@@ -146,25 +146,6 @@ fn early_exit_disabled_for_unsupported_metrics() {
 }
 
 #[test]
-fn deep_prune_never_worsens_the_result_on_these_inputs() {
-    // Deep pruning removes only dominated (subset) candidates; by
-    // Proposition 3.2's empirical dominance the optimum is usually
-    // unchanged. We assert both return within-bound labels and that
-    // deep-prune's candidate list is an antichain.
-    let d = correlated_pair(6, 2500, 0.4, 13).unwrap();
-    let base = top_down_search(&d, &SearchOptions::with_bound(25)).unwrap();
-    let deep = top_down_search(&d, &SearchOptions::with_bound(25).deep_prune(true)).unwrap();
-    assert!(deep.candidates.len() <= base.candidates.len());
-    for (i, &a) in deep.candidates.iter().enumerate() {
-        for (j, &b) in deep.candidates.iter().enumerate() {
-            if i != j {
-                assert!(!a.is_strict_subset_of(b));
-            }
-        }
-    }
-}
-
-#[test]
 fn over_attrs_pattern_set_end_to_end() {
     // Optimize only for sensitive-attribute patterns: any candidate
     // containing those attributes is exact.

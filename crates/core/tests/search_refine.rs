@@ -6,18 +6,28 @@
 //! across metrics, early-exit on/off, shard/thread grids and both key
 //! widths; and the searches must return identical outcomes with
 //! refinement on and off.
+//!
+//! The top-down and greedy searches size lattice nodes by bounded
+//! refinement; they must return exactly what a breadth-first walk (and a
+//! greedy walk) sized by the cold [`label_size_bounded`] scan returns.
 
 use proptest::prelude::*;
 
+use std::collections::{HashSet, VecDeque};
+
 use pclabel_core::attrset::AttrSet;
-use pclabel_core::counting::KeyCodec;
-use pclabel_core::error::ErrorMetric;
+use pclabel_core::counting::{label_size_bounded, KeyCodec};
+use pclabel_core::error::{ErrorMetric, ErrorStats};
+use pclabel_core::lattice::gen;
 use pclabel_core::patterns::PatternSet;
 use pclabel_core::search::{
-    greedy_search, naive_search, top_down_search, Evaluator, SearchOptions,
+    greedy_search, naive_search, top_down_search, Evaluator, SearchOptions, SearchOutcome,
 };
 use pclabel_data::dataset::{Dataset, DatasetBuilder, MISSING};
-use pclabel_data::generate::{correlated_pair, figure2_sample, functional_chain};
+use pclabel_data::generate::{
+    bluenile, compas, correlated_pair, creditcard, figure2_sample, functional_chain,
+    BlueNileConfig, CompasConfig, CreditCardConfig,
+};
 
 /// Small random dataset with optional missing cells (mirrors the core
 /// proptests' generator).
@@ -245,6 +255,161 @@ fn parallel_evaluate_many_identical_with_refinement() {
             assert_eq!(seq, par, "{metric} threads {threads}");
             let cold = ev.evaluate_many(&cands, &base.clone().threads(threads).refine(false));
             assert_eq!(seq, cold, "{metric} cold threads {threads}");
+        }
+    }
+}
+
+/// Algorithm 1 as the paper states it: a breadth-first walk over `gen`,
+/// every node sized by the cold scan, direct parents of each new
+/// candidate removed (`removeParents`); then the arg-min of the
+/// candidates' errors (ties: fewer attributes, then bitmask).
+fn reference_top_down(d: &Dataset, opts: &SearchOptions) -> Outcome {
+    let ev = Evaluator::new(d, &opts.patterns);
+    let (distinct, _) = ev.compressed();
+    let mut nodes = 0u64;
+    let mut queue = VecDeque::from([AttrSet::EMPTY]);
+    let mut cands: HashSet<AttrSet> = HashSet::new();
+    while let Some(curr) = queue.pop_front() {
+        for child in gen(curr, d.n_attrs()) {
+            nodes += 1;
+            if label_size_bounded(distinct, child, opts.bound).is_some() {
+                queue.push_back(child);
+                if child.len() >= 2 {
+                    for parent in child.parents() {
+                        cands.remove(&parent);
+                    }
+                    cands.insert(child);
+                }
+            }
+        }
+    }
+    let mut cands: Vec<AttrSet> = cands.into_iter().collect();
+    cands.sort_by_key(|s| (s.len(), s.bits()));
+    let early = opts.early_exit && opts.metric.supports_early_exit();
+    let scored = cands
+        .iter()
+        .map(|&s| (s, opts.metric.of(&ev.error_of(s, early))));
+    let best = argmin(scored).unwrap_or(AttrSet::EMPTY);
+    reference_outcome(&ev, best, cands, nodes)
+}
+
+/// The subset with the least error; ties go to fewer attributes, then
+/// the smaller bitmask.
+fn argmin(scored: impl Iterator<Item = (AttrSet, f64)>) -> Option<AttrSet> {
+    scored
+        .min_by(|(sa, ea), (sb, eb)| {
+            ea.total_cmp(eb)
+                .then_with(|| (sa.len(), sa.bits()).cmp(&(sb.len(), sb.bits())))
+        })
+        .map(|(s, _)| s)
+}
+
+/// Greedy forward selection with every step sized by the cold scan.
+fn reference_greedy(d: &Dataset, opts: &SearchOptions) -> Outcome {
+    let ev = Evaluator::new(d, &opts.patterns);
+    let (distinct, _) = ev.compressed();
+    let early = opts.early_exit && opts.metric.supports_early_exit();
+    let err = |s: AttrSet| opts.metric.of(&ev.error_of(s, early));
+    let mut nodes = 0u64;
+    let mut current = AttrSet::EMPTY;
+    let mut visited = vec![(current, err(current))];
+    loop {
+        let mut best_step: Option<(AttrSet, f64)> = None;
+        for a in (0..d.n_attrs()).filter(|&a| !current.contains(a)) {
+            let candidate = current.insert(a);
+            nodes += 1;
+            if label_size_bounded(distinct, candidate, opts.bound).is_none() {
+                continue;
+            }
+            let e = err(candidate);
+            if best_step.is_none_or(|(bs, be)| e < be || (e == be && candidate.bits() < bs.bits()))
+            {
+                best_step = Some((candidate, e));
+            }
+        }
+        let Some(step) = best_step else { break };
+        current = step.0;
+        visited.push(step);
+    }
+    let best = argmin(visited.iter().copied()).unwrap();
+    let path = visited.iter().skip(1).map(|&(s, _)| s).collect();
+    reference_outcome(&ev, best, path, nodes)
+}
+
+/// The parts of a search outcome the reference must reproduce exactly.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    candidates: Vec<AttrSet>,
+    nodes_examined: u64,
+    best_attrs: Option<AttrSet>,
+    best_stats: Option<ErrorStats>,
+}
+
+impl From<SearchOutcome> for Outcome {
+    fn from(out: SearchOutcome) -> Self {
+        Outcome {
+            candidates: out.candidates,
+            nodes_examined: out.stats.nodes_examined,
+            best_attrs: out.best_attrs,
+            best_stats: out.best_stats,
+        }
+    }
+}
+
+fn reference_outcome(
+    ev: &Evaluator,
+    best: AttrSet,
+    candidates: Vec<AttrSet>,
+    nodes: u64,
+) -> Outcome {
+    Outcome {
+        candidates,
+        nodes_examined: nodes,
+        best_attrs: Some(best),
+        best_stats: Some(ev.error_of(best, false)),
+    }
+}
+
+#[test]
+fn searches_match_cold_sized_reference_on_paper_generators() {
+    let datasets = [
+        (
+            "bluenile",
+            bluenile(&BlueNileConfig {
+                n_rows: 2000,
+                seed: 1,
+            }),
+        ),
+        (
+            "compas",
+            compas(&CompasConfig {
+                n_rows: 2000,
+                seed: 1,
+            }),
+        ),
+        (
+            "creditcard",
+            creditcard(&CreditCardConfig {
+                n_rows: 2000,
+                seed: 1,
+            }),
+        ),
+    ];
+    for (name, d) in &datasets {
+        let d = d.as_ref().unwrap();
+        for bound in [10u64, 50] {
+            let opts = SearchOptions::with_bound(bound);
+            let what = format!("{name} bound {bound}");
+            assert_eq!(
+                Outcome::from(top_down_search(d, &opts).unwrap()),
+                reference_top_down(d, &opts),
+                "top-down {what}"
+            );
+            assert_eq!(
+                Outcome::from(greedy_search(d, &opts).unwrap()),
+                reference_greedy(d, &opts),
+                "greedy {what}"
+            );
         }
     }
 }

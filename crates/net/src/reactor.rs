@@ -1175,6 +1175,9 @@ impl Reactor {
         };
         conn.dispatching = true;
         conn.track.inc_requests();
+        // Mirror before the job can run: a worker serving `/debug/conns`
+        // must already see this connection as dispatching.
+        conn.mirror();
         let shared = Arc::clone(&self.shared);
         let queue = Arc::clone(&self.dispatch);
         let job: Job = Box::new(move || {
@@ -1221,6 +1224,9 @@ impl Reactor {
         };
         conn.dispatching = true;
         conn.track.inc_requests();
+        // Mirror before the job can run: a worker serving `/debug/conns`
+        // must already see this connection as dispatching.
+        conn.mirror();
         // Captured before the job takes the request: the 429 path needs
         // to know whether this exchange would have kept the connection.
         let keep_alive_on_reject = request.keep_alive();
